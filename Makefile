@@ -2,16 +2,17 @@
 
 GO ?= go
 
-.PHONY: all check lint layering build vet test test-race race bench bench-smoke bench-baseline bench-compare probe-gate crosscheck reproduce replicate examples clean
+.PHONY: all check lint layering build vet test test-race race bench bench-smoke bench-guard bench-baseline bench-compare probe-gate crosscheck reproduce replicate examples clean
 
 all: build vet test
 
 # Full pre-merge gate: map-range lint, import-layering gate, build, vet,
 # tests, race detector, one race-enabled iteration of the engine benchmarks
 # (bench-smoke, so the benchmark tier itself cannot rot or race silently),
-# the telemetry zero-overhead assertion (probe-gate), and the analytic M/M/1
-# cross-check (crosscheck).
-check: lint layering build vet test test-race bench-smoke probe-gate crosscheck
+# the telemetry zero-overhead assertion (probe-gate), the analytic M/M/1
+# cross-check (crosscheck), and vet plus tests of the repository benchmark
+# (bench-guard).
+check: lint layering build vet test test-race bench-smoke probe-gate crosscheck bench-guard
 
 # Policy/kernel packages whose float-bearing maps the lint watches.
 LINT_PKGS = internal/sched internal/core internal/mlq internal/substrate internal/engine internal/fluid internal/trace internal/yarn
@@ -115,6 +116,13 @@ bench-smoke:
 probe-gate:
 	$(GO) test -run '^TestScheduleRoundNilProbeZeroAlloc$$' -count=1 ./internal/engine
 	$(GO) test -run '^TestZeroAlloc' -count=1 ./internal/obs
+
+# The repository benchmark (lasmqbench/, its own module) compiles against the
+# scheduler API — sched.Assignment, BufferedAssigner, Hinter, ObserveHinter,
+# Quantizer.QuantizeInto, obs.ProbeSetter. Vet and test it here, so an API
+# change fails `make check` instead of the benchmark run.
+bench-guard:
+	cd lasmqbench && GOWORK=off $(GO) vet . && GOWORK=off $(GO) test -count=1 .
 
 # Analytic M/M/1 cross-check: drive the fluid and engine substrates with
 # M/M/1 workloads at rho in {0.5, 0.7, 0.9} and assert FIFO/PS/SRPT/LAS

@@ -28,7 +28,8 @@ type (
 	Scheduler = sched.Scheduler
 	// JobView is the scheduler-facing snapshot of one runnable job.
 	JobView = sched.JobView
-	// Assignment maps job ID to granted container share.
+	// Assignment is one round's granted container shares, slot-aligned with
+	// the job views it is bound to: share i belongs to view i.
 	Assignment = sched.Assignment
 	// SchedulerConfig configures the LAS_MQ policy (queues, thresholds,
 	// cross-queue weights, stage awareness, in-queue ordering).
@@ -36,6 +37,10 @@ type (
 	// LASMQ is the paper's multilevel-queue scheduler.
 	LASMQ = core.LASMQ
 )
+
+// NewAssignment returns an all-zero Assignment bound to jobs, for a
+// Scheduler implemented outside this module to fill and return from Assign.
+func NewAssignment(jobs []JobView) Assignment { return sched.NewAssignment(jobs) }
 
 // NewScheduler returns a fresh LAS_MQ scheduler. Schedulers are stateful;
 // use one instance per simulation run.

@@ -127,3 +127,38 @@ func contextWithTimeout(t *testing.T) (context.Context, context.CancelFunc) {
 	t.Helper()
 	return context.WithTimeout(context.Background(), 30*time.Second)
 }
+
+// plainPolicy is a Scheduler written against the public API alone: it
+// implements only Assign, building its result with NewAssignment, so the
+// simulators reach it through their plain (unbuffered) dispatch.
+type plainPolicy struct{ inner lasmq.Scheduler }
+
+func (p plainPolicy) Name() string { return "plain " + p.inner.Name() }
+
+func (p plainPolicy) Assign(now, capacity float64, jobs []lasmq.JobView) lasmq.Assignment {
+	out := lasmq.NewAssignment(jobs)
+	copy(out.Shares(), p.inner.Assign(now, capacity, jobs).Shares())
+	return out
+}
+
+func TestPublicAPIExternalScheduler(t *testing.T) {
+	tcfg := lasmq.DefaultFacebookTraceConfig()
+	tcfg.Jobs = 200
+	specs, err := lasmq.FacebookTrace(tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcfg := lasmq.DefaultFluidConfig()
+	fcfg.Capacity = tcfg.Capacity
+	want, err := lasmq.RunTrace(specs, lasmq.NewFair(), fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := lasmq.RunTrace(specs, plainPolicy{lasmq.NewFair()}, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MeanResponseTime() != want.MeanResponseTime() {
+		t.Fatalf("external scheduler mean %v, built-in %v", got.MeanResponseTime(), want.MeanResponseTime())
+	}
+}

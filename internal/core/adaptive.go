@@ -155,7 +155,7 @@ func (a *Adaptive) Thresholds() []float64 {
 // Assign implements sched.Scheduler: record completions, refit if due, then
 // delegate to the inner LAS_MQ.
 func (a *Adaptive) Assign(now float64, capacity float64, jobs []sched.JobView) sched.Assignment {
-	out := make(sched.Assignment, len(jobs))
+	out := sched.NewAssignment(jobs)
 	a.AssignInto(now, capacity, jobs, out)
 	return out
 }

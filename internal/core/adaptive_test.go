@@ -121,8 +121,8 @@ func TestAdaptiveSchedulesLikeLASMQ(t *testing.T) {
 	}
 	small := job(2, 2, 0, 1000)
 	alloc := s.Assign(10, 100, views(long, small))
-	if alloc[2] <= alloc[1] {
-		t.Errorf("small job got %v vs demoted long job %v", alloc[2], alloc[1])
+	if alloc.Share(2) <= alloc.Share(1) {
+		t.Errorf("small job got %v vs demoted long job %v", alloc.Share(2), alloc.Share(1))
 	}
 }
 

@@ -72,11 +72,12 @@ type trackRec struct {
 	seq    int
 }
 
-// ordEntry is one job inside a queue's persistent within-queue order.
+// ordEntry is one job inside a queue's persistent within-queue order; ref
+// addresses the job's roster record, and through it the job's view slot.
 type ordEntry struct {
 	demand float64 // RemainingDemand, the primary key under OrderByDemand
 	seq    int
-	id     int
+	ref    int
 }
 
 // LASMQ is the multilevel-queue scheduler. It is stateful: it remembers which
@@ -100,17 +101,16 @@ type LASMQ struct {
 	// entries, touched flags queues whose members changed demand in place,
 	// and orderValid gates the full-rebuild path (cleared when queue
 	// membership changes wholesale, e.g. an adaptive refit).
-	tracked    map[int]trackRec
+	tracked    sched.Roster[trackRec]
 	ordered    [][]ordEntry
 	touched    []bool
 	orderValid bool
 
 	// Scratch buffers reused across rounds to keep large simulations
-	// allocation-free on the hot path.
-	seen      map[int]bool
-	remaining map[int]float64
+	// allocation-free on the hot path: remaining is slot-indexed unmet
+	// ready demand.
+	remaining []float64
 	weights   []float64
-	departed  []int
 
 	// probe, when non-nil, receives queue-trajectory telemetry (enter/
 	// demote/exit). Emissions never read back into scheduling decisions.
@@ -138,12 +138,9 @@ func New(cfg Config) (*LASMQ, error) {
 	return &LASMQ{
 		cfg:        cfg,
 		levels:     levels,
-		tracked:    make(map[int]trackRec),
 		ordered:    make([][]ordEntry, cfg.Queues),
 		touched:    make([]bool, cfg.Queues),
 		orderValid: true,
-		seen:       make(map[int]bool),
-		remaining:  make(map[int]float64),
 		weights:    make([]float64, cfg.Queues),
 	}, nil
 }
@@ -162,16 +159,19 @@ func (s *LASMQ) Config() Config { return s.cfg }
 // whether the job is known to the scheduler. Exposed for tests and
 // instrumentation.
 func (s *LASMQ) QueueOf(jobID int) (int, bool) {
-	rec, ok := s.tracked[jobID]
-	return rec.queue, ok
+	ref, ok := s.tracked.Lookup(jobID)
+	if !ok {
+		return 0, false
+	}
+	return s.tracked.Rec(ref).queue, true
 }
 
 // QueueSizes returns the current number of tracked jobs per queue, for
 // instrumentation (e.g. occupancy timelines).
 func (s *LASMQ) QueueSizes() []int {
 	sizes := make([]int, s.levels.Queues())
-	for _, rec := range s.tracked {
-		sizes[rec.queue]++
+	for _, ref := range s.tracked.Refs(nil) {
+		sizes[s.tracked.Rec(ref).queue]++
 	}
 	return sizes
 }
@@ -180,12 +180,16 @@ func (s *LASMQ) QueueSizes() []int {
 // job in metrics under it (placement, not demote-only). Queue membership
 // changes wholesale, so the persistent within-queue order is invalidated and
 // rebuilt from the next round's views. Used by the adaptive wrapper's refit.
+// A job in metrics the scheduler has not seen yet gets a record too, so the
+// rebuild places it from its fitted queue instead of the top one.
 func (s *LASMQ) resetLevels(levels *mlq.Levels, metrics map[int]float64) {
 	s.levels = levels
 	for id, metric := range metrics { // range-ok: independent per-key writes, no accumulation
-		rec := s.tracked[id]
-		rec.queue = levels.Placement(metric)
-		s.tracked[id] = rec
+		ref, ok := s.tracked.Lookup(id)
+		if !ok {
+			ref = s.tracked.Add(id)
+		}
+		s.tracked.Rec(ref).queue = levels.Placement(metric)
 	}
 	s.orderValid = false
 }
@@ -200,7 +204,7 @@ func (s *LASMQ) metric(j sched.JobView) float64 {
 
 // Assign implements sched.Scheduler.
 func (s *LASMQ) Assign(now float64, capacity float64, jobs []sched.JobView) sched.Assignment {
-	out := make(sched.Assignment, len(jobs))
+	out := sched.NewAssignment(jobs)
 	s.AssignInto(now, capacity, jobs, out)
 	return out
 }
@@ -225,16 +229,17 @@ func (s *LASMQ) Observe(now float64, jobs []sched.JobView) {
 // a job-set change.
 func (s *LASMQ) ObserveHorizon(now float64, jobs []sched.JobView, rates sched.Assignment) float64 {
 	horizon := math.Inf(1)
-	for _, j := range jobs {
-		rec, ok := s.tracked[j.ID()]
+	sh := rates.Shares()
+	for i, j := range jobs {
+		ref, ok := s.tracked.Lookup(j.ID())
 		if !ok {
 			return now // not yet observed; cannot bound
 		}
-		threshold := s.levels.Threshold(rec.queue)
+		threshold := s.levels.Threshold(s.tracked.Rec(ref).queue)
 		if math.IsInf(threshold, 1) {
 			continue // last queue: never demoted again
 		}
-		rate := rates[j.ID()]
+		rate := sh[i]
 		if rate <= 0 {
 			continue // metric cannot grow
 		}
@@ -276,16 +281,19 @@ func (s *LASMQ) AssignInto(now float64, capacity float64, jobs []sched.JobView, 
 		}
 		w /= s.cfg.QueueWeightDecay
 	}
-	clear(out)
+	sh := out.Reset(jobs)
 	if totalWeight == 0 {
 		return
 	}
 
-	remaining := s.remaining // unmet ready demand per job
-	clear(remaining)
-	for _, j := range jobs {
+	// Unmet ready demand per slot; every queued entry's job is in this
+	// round's views, so its record's slot indexes both remaining and out.
+	remaining := slices.Grow(s.remaining[:0], len(jobs))[:len(jobs)]
+	s.remaining = remaining
+	for i, j := range jobs {
+		remaining[i] = 0
 		if d := j.ReadyDemand(); d > 0 {
-			remaining[j.ID()] = d
+			remaining[i] = d
 		}
 	}
 
@@ -298,13 +306,14 @@ func (s *LASMQ) AssignInto(now float64, capacity float64, jobs []sched.JobView, 
 			if budget <= 0 {
 				break
 			}
-			d := remaining[e.id]
+			slot := s.tracked.Slot(e.ref)
+			d := remaining[slot]
 			if d <= 0 {
 				continue
 			}
 			x := math.Min(budget, d)
-			out[e.id] += x
-			remaining[e.id] -= x
+			sh[slot] += x
+			remaining[slot] -= x
 			budget -= x
 		}
 		leftover += budget
@@ -317,13 +326,14 @@ func (s *LASMQ) AssignInto(now float64, capacity float64, jobs []sched.JobView, 
 			if leftover <= 1e-12 {
 				break
 			}
-			d := remaining[e.id]
+			slot := s.tracked.Slot(e.ref)
+			d := remaining[slot]
 			if d <= 0 {
 				continue
 			}
 			x := math.Min(leftover, d)
-			out[e.id] += x
-			remaining[e.id] -= x
+			sh[slot] += x
+			remaining[slot] -= x
 			leftover -= x
 		}
 	}
@@ -334,38 +344,42 @@ func (s *LASMQ) AssignInto(now float64, capacity float64, jobs []sched.JobView, 
 // jobs, removal of departed jobs, and in-place demand refresh (which marks
 // the queue dirty instead of re-sorting eagerly). Shared by Observe and
 // AssignInto so skipped rounds keep the persistent order exactly in sync.
+// Each job costs one roster lookup; the roster also records its view slot.
 func (s *LASMQ) sweep(now float64, jobs []sched.JobView) {
 	if !s.orderValid {
 		s.rebuild(now, jobs)
 		return
 	}
-	seen := s.seen
-	clear(seen)
-	for _, j := range jobs {
+	s.tracked.Begin()
+	for i, j := range jobs {
 		id := j.ID()
-		seen[id] = true
 		m := s.metric(j)
-		rec, ok := s.tracked[id]
+		ref, ok := s.tracked.Lookup(id)
 		if !ok {
 			// Arrival: place from the top queue and binary-insert.
+			ref = s.tracked.Add(id)
+			s.tracked.Visit(ref, i)
 			d, seq := j.RemainingDemand(), j.Seq()
 			q := s.levels.Demote(0, m)
-			s.insertEntry(q, ordEntry{demand: d, seq: seq, id: id})
-			s.tracked[id] = trackRec{queue: q, demand: d, seq: seq}
+			s.insertEntry(q, ordEntry{demand: d, seq: seq, ref: ref})
+			*s.tracked.Rec(ref) = trackRec{queue: q, demand: d, seq: seq}
 			if s.probe != nil {
 				s.probe.QueueEnter(now, id, q)
 			}
 			continue
 		}
+		s.tracked.Visit(ref, i)
+		rec := s.tracked.Rec(ref)
 		q := s.levels.Demote(rec.queue, m)
 		d := j.RemainingDemand()
 		if q != rec.queue {
 			// Demotion: move the entry between queue lists by its stored key.
-			s.removeEntry(rec.queue, rec, id)
-			s.insertEntry(q, ordEntry{demand: d, seq: rec.seq, id: id})
-			s.tracked[id] = trackRec{queue: q, demand: d, seq: rec.seq}
+			from := rec.queue
+			s.removeEntry(from, *rec, ref)
+			s.insertEntry(q, ordEntry{demand: d, seq: rec.seq, ref: ref})
+			*rec = trackRec{queue: q, demand: d, seq: rec.seq}
 			if s.probe != nil {
-				s.probe.QueueDemote(now, id, rec.queue, q, m)
+				s.probe.QueueDemote(now, id, from, q, m)
 			}
 			continue
 		}
@@ -373,28 +387,27 @@ func (s *LASMQ) sweep(now float64, jobs []sched.JobView) {
 			// Demand changed but the job stays put: refresh the entry's key in
 			// place and defer the (usually unnecessary) re-sort to
 			// restoreOrder's single sortedness walk.
-			if pos := s.findEntry(rec.queue, rec, id); pos >= 0 {
+			if pos := s.findEntry(rec.queue, *rec, ref); pos >= 0 {
 				s.ordered[rec.queue][pos].demand = d
 			}
 			s.touched[rec.queue] = true
 			rec.demand = d
-			s.tracked[id] = rec
 		}
 	}
-	s.departed = s.departed[:0]
-	for id := range s.tracked { // range-ok: per-id collection, order restored by sort below
-		if !seen[id] {
-			s.departed = append(s.departed, id)
-		}
+	// Departures in ascending job-ID order, for removal and telemetry.
+	for _, ref := range s.tracked.Departed() {
+		rec := *s.tracked.Rec(ref)
+		s.removeEntry(rec.queue, rec, ref)
+		s.exit(now, ref, rec.queue)
 	}
-	slices.Sort(s.departed) // deterministic departure order for removal + telemetry
-	for _, id := range s.departed {
-		rec := s.tracked[id]
-		s.removeEntry(rec.queue, rec, id)
-		delete(s.tracked, id)
-		if s.probe != nil {
-			s.probe.QueueExit(now, id, rec.queue)
-		}
+}
+
+// exit drops a departed job's record.
+func (s *LASMQ) exit(now float64, ref, queue int) {
+	id := s.tracked.ID(ref)
+	s.tracked.Remove(ref)
+	if s.probe != nil {
+		s.probe.QueueExit(now, id, queue)
 	}
 }
 
@@ -405,37 +418,30 @@ func (s *LASMQ) rebuild(now float64, jobs []sched.JobView) {
 		s.ordered[i] = s.ordered[i][:0]
 		s.touched[i] = false
 	}
-	seen := s.seen
-	clear(seen)
-	for _, j := range jobs {
+	s.tracked.Begin()
+	for i, j := range jobs {
 		id := j.ID()
-		seen[id] = true
-		rec, known := s.tracked[id] // zero record places arrivals from the top queue
-		q := s.levels.Demote(rec.queue, s.metric(j))
+		ref, known := s.tracked.Lookup(id)
+		if !known {
+			ref = s.tracked.Add(id) // a zero record places arrivals from the top queue
+		}
+		s.tracked.Visit(ref, i)
+		rec := s.tracked.Rec(ref)
+		from := rec.queue
+		q := s.levels.Demote(from, s.metric(j))
 		d, seq := j.RemainingDemand(), j.Seq()
-		s.tracked[id] = trackRec{queue: q, demand: d, seq: seq}
-		s.ordered[q] = append(s.ordered[q], ordEntry{demand: d, seq: seq, id: id})
+		*rec = trackRec{queue: q, demand: d, seq: seq}
+		s.ordered[q] = append(s.ordered[q], ordEntry{demand: d, seq: seq, ref: ref})
 		if s.probe != nil {
 			if !known {
 				s.probe.QueueEnter(now, id, q)
-			} else if q != rec.queue {
-				s.probe.QueueDemote(now, id, rec.queue, q, s.metric(j))
+			} else if q != from {
+				s.probe.QueueDemote(now, id, from, q, s.metric(j))
 			}
 		}
 	}
-	s.departed = s.departed[:0]
-	for id := range s.tracked { // range-ok: per-id collection, order restored by sort below
-		if !seen[id] {
-			s.departed = append(s.departed, id)
-		}
-	}
-	slices.Sort(s.departed)
-	for _, id := range s.departed {
-		rec := s.tracked[id]
-		delete(s.tracked, id)
-		if s.probe != nil {
-			s.probe.QueueExit(now, id, rec.queue)
-		}
+	for _, ref := range s.tracked.Departed() {
+		s.exit(now, ref, s.tracked.Rec(ref).queue)
 	}
 	for i := range s.ordered {
 		if !s.isSorted(s.ordered[i]) {
@@ -482,9 +488,9 @@ func (s *LASMQ) insertEntry(q int, e ordEntry) {
 
 // findEntry locates the job's entry in queue q by its stored key, falling
 // back to a linear scan when the list is dirty. Returns -1 if absent.
-func (s *LASMQ) findEntry(q int, rec trackRec, id int) int {
+func (s *LASMQ) findEntry(q int, rec trackRec, ref int) int {
 	list := s.ordered[q]
-	key := ordEntry{demand: rec.demand, seq: rec.seq, id: id}
+	key := ordEntry{demand: rec.demand, seq: rec.seq, ref: ref}
 	lo, hi := 0, len(list)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -494,11 +500,11 @@ func (s *LASMQ) findEntry(q int, rec trackRec, id int) int {
 			hi = mid
 		}
 	}
-	if lo < len(list) && list[lo].id == id {
+	if lo < len(list) && list[lo].ref == ref {
 		return lo
 	}
 	for i := range list {
-		if list[i].id == id {
+		if list[i].ref == ref {
 			return i
 		}
 	}
@@ -506,8 +512,8 @@ func (s *LASMQ) findEntry(q int, rec trackRec, id int) int {
 }
 
 // removeEntry deletes the job's entry from queue q's ordered list.
-func (s *LASMQ) removeEntry(q int, rec trackRec, id int) {
-	if pos := s.findEntry(q, rec, id); pos >= 0 {
+func (s *LASMQ) removeEntry(q int, rec trackRec, ref int) {
+	if pos := s.findEntry(q, rec, ref); pos >= 0 {
 		list := s.ordered[q]
 		copy(list[pos:], list[pos+1:])
 		s.ordered[q] = list[:len(list)-1]
@@ -565,16 +571,17 @@ func compareSeq(a, b ordEntry) int {
 // exactly the allocation rate.
 func (s *LASMQ) Horizon(now float64, jobs []sched.JobView, alloc sched.Assignment) float64 {
 	horizon := math.Inf(1)
-	for _, j := range jobs {
-		rate := alloc[j.ID()]
+	sh := alloc.Shares()
+	for i, j := range jobs {
+		rate := sh[i]
 		if rate <= 0 {
 			continue
 		}
-		rec, ok := s.tracked[j.ID()]
+		ref, ok := s.tracked.Lookup(j.ID())
 		if !ok {
 			continue
 		}
-		threshold := s.levels.Threshold(rec.queue)
+		threshold := s.levels.Threshold(s.tracked.Rec(ref).queue)
 		if math.IsInf(threshold, 1) {
 			continue // last queue: never demoted again
 		}

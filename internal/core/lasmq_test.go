@@ -129,11 +129,11 @@ func TestHigherQueueGetsLargerShare(t *testing.T) {
 	small := job(1, 1, 10, 1000)   // queue 0
 	large := job(2, 2, 5000, 1000) // queue 2 (threshold 100, 1000, ...)
 	alloc := s.Assign(0, 90, views(small, large))
-	if alloc[1] <= alloc[2] {
-		t.Errorf("top-queue job got %v, lower-queue job %v; want strictly more for the top queue", alloc[1], alloc[2])
+	if alloc.Share(1) <= alloc.Share(2) {
+		t.Errorf("top-queue job got %v, lower-queue job %v; want strictly more for the top queue", alloc.Share(1), alloc.Share(2))
 	}
 	// weight 1 vs 0.25 over queues 0 and 2: shares 72 and 18.
-	if math.Abs(alloc[1]-72) > 1e-9 || math.Abs(alloc[2]-18) > 1e-9 {
+	if math.Abs(alloc.Share(1)-72) > 1e-9 || math.Abs(alloc.Share(2)-18) > 1e-9 {
 		t.Errorf("alloc = %v, want 72/18 weighted split", alloc)
 	}
 }
@@ -145,7 +145,7 @@ func TestLowerQueueNotStarved(t *testing.T) {
 	top := job(1, 1, 0, 10000)
 	bottom := job(2, 2, 1e9, 10000)
 	alloc := s.Assign(0, 100, views(top, bottom))
-	if alloc[2] <= 0 {
+	if alloc.Share(2) <= 0 {
 		t.Errorf("demoted job starved: alloc = %v", alloc)
 	}
 }
@@ -157,11 +157,11 @@ func TestWorkConservationSpillover(t *testing.T) {
 	top := job(1, 1, 0, 5)
 	bottom := job(2, 2, 1e9, 1000)
 	alloc := s.Assign(0, 100, views(top, bottom))
-	if alloc[1] != 5 {
-		t.Errorf("top job got %v, want its demand 5", alloc[1])
+	if alloc.Share(1) != 5 {
+		t.Errorf("top job got %v, want its demand 5", alloc.Share(1))
 	}
-	if math.Abs(alloc[2]-95) > 1e-9 {
-		t.Errorf("bottom job got %v, want spilled-over 95", alloc[2])
+	if math.Abs(alloc.Share(2)-95) > 1e-9 {
+		t.Errorf("bottom job got %v, want spilled-over 95", alloc.Share(2))
 	}
 }
 
@@ -171,11 +171,11 @@ func TestInQueueOrderingByDemand(t *testing.T) {
 	wide := job(1, 1, 0, 80)
 	narrow := job(2, 2, 0, 20)
 	alloc := s.Assign(0, 50, views(wide, narrow))
-	if alloc[2] != 20 {
-		t.Errorf("narrow job got %v, want full demand 20", alloc[2])
+	if alloc.Share(2) != 20 {
+		t.Errorf("narrow job got %v, want full demand 20", alloc.Share(2))
 	}
-	if math.Abs(alloc[1]-30) > 1e-9 {
-		t.Errorf("wide job got %v, want leftover 30", alloc[1])
+	if math.Abs(alloc.Share(1)-30) > 1e-9 {
+		t.Errorf("wide job got %v, want leftover 30", alloc.Share(1))
 	}
 }
 
@@ -184,11 +184,11 @@ func TestInQueueFIFOWhenOrderingDisabled(t *testing.T) {
 	wide := job(1, 1, 0, 80)
 	narrow := job(2, 2, 0, 20)
 	alloc := s.Assign(0, 50, views(wide, narrow))
-	if alloc[1] != 50 {
-		t.Errorf("earlier job got %v, want all 50 under FIFO", alloc[1])
+	if alloc.Share(1) != 50 {
+		t.Errorf("earlier job got %v, want all 50 under FIFO", alloc.Share(1))
 	}
-	if alloc[2] != 0 {
-		t.Errorf("later job got %v, want 0", alloc[2])
+	if alloc.Share(2) != 0 {
+		t.Errorf("later job got %v, want 0", alloc.Share(2))
 	}
 }
 
@@ -196,7 +196,7 @@ func TestHorizonPredictsDemotion(t *testing.T) {
 	s := newLASMQ(t, func(c *core.Config) { c.FirstThreshold = 100; c.StageAware = false })
 	j := job(1, 1, 40, 10)
 	alloc := s.Assign(0, 10, views(j))
-	if alloc[1] != 10 {
+	if alloc.Share(1) != 10 {
 		t.Fatalf("alloc = %v, want 10", alloc)
 	}
 	// Attained 40 grows at rate 10; crosses threshold 100 at t = 6.
@@ -248,7 +248,7 @@ func TestAssignInvariantsProperty(t *testing.T) {
 			return false
 		}
 		for _, j := range jobs {
-			if alloc[j.ID()] < -eps || alloc[j.ID()] > j.ReadyDemand()+eps {
+			if alloc.Share(j.ID()) < -eps || alloc.Share(j.ID()) > j.ReadyDemand()+eps {
 				return false
 			}
 		}
@@ -324,7 +324,7 @@ func TestMimicsSJFWithoutSizeInfo(t *testing.T) {
 	}
 	small := job(2, 2, 0, 1000)
 	alloc := s.Assign(10, 100, views(long, small))
-	if alloc[2] <= alloc[1] {
-		t.Errorf("new small job got %v vs long job %v; want more for the small job", alloc[2], alloc[1])
+	if alloc.Share(2) <= alloc.Share(1) {
+		t.Errorf("new small job got %v vs long job %v; want more for the small job", alloc.Share(2), alloc.Share(1))
 	}
 }

@@ -97,7 +97,7 @@ func (r *QueueRecorder) QueueExit(now float64, job, queue int) {
 
 // Assign implements sched.Scheduler: delegate, then snapshot.
 func (r *QueueRecorder) Assign(now float64, capacity float64, jobs []sched.JobView) sched.Assignment {
-	out := make(sched.Assignment, len(jobs))
+	out := sched.NewAssignment(jobs)
 	r.AssignInto(now, capacity, jobs, out)
 	return out
 }

@@ -631,7 +631,7 @@ func (s *sim) schedule() {
 		return
 	}
 	alloc := s.driver.Assign(s.now, float64(s.cfg.Containers), s.vs.Views())
-	targets := s.quant.QuantizeInto(alloc, s.vs.Demand(), s.cfg.Containers)
+	targets := s.quant.Targets(alloc, s.vs.Demand(), s.cfg.Containers)
 
 	// Launch ready tasks while a job is below its target, serving the
 	// largest allocation deficits first (the policy's most-preferred jobs).
@@ -641,11 +641,8 @@ func (s *sim) schedule() {
 	// reservation, 1-container map tasks of lower-priority jobs would snatch
 	// every freed container and starve multi-container tasks indefinitely.
 	cands := s.cands[:0]
-	for _, js := range s.jobSeq {
-		if !js.schedulable() {
-			continue
-		}
-		if t := targets[js.spec.ID]; t > js.usage {
+	for i, js := range s.slots {
+		if t := targets[i]; t > js.usage {
 			cands = append(cands, launchCand{js: js, target: t})
 		}
 	}
@@ -873,24 +870,28 @@ func (s *sim) speculate(reserved int) {
 
 // collectViews rebuilds the kernel's view registry with the scheduler-facing
 // snapshots of all admitted, unfinished jobs, reusing the per-job view
-// adapters. Full rounds request the ready-demand map (withDemand, for share
-// quantization); observation rounds for horizon-hinting policies request the
-// per-job metric-rate bounds instead (withRates).
+// adapters, and records the job behind each slot. Full rounds request the
+// ready demand (withDemand, for share quantization); observation rounds for
+// horizon-hinting policies request the per-job metric-rate bounds instead
+// (withRates).
 func (s *sim) collectViews(withDemand, withRates bool) {
 	s.vs.Begin(withDemand, withRates)
+	slots := s.slots[:0]
 	for _, js := range s.jobSeq {
 		if !js.schedulable() {
 			continue
 		}
 		js.view.now = s.now
-		s.vs.Add(&js.view)
+		i := s.vs.Add(&js.view)
+		slots = append(slots, js)
 		if withDemand {
-			s.vs.SetDemand(js.spec.ID, js.readyDemand())
+			s.vs.SetDemand(i, js.readyDemand())
 		}
 		if withRates {
-			s.vs.SetRate(js.spec.ID, s.metricRateBound(js))
+			s.vs.SetRate(i, s.metricRateBound(js))
 		}
 	}
+	s.slots = slots
 }
 
 func (s *sim) result() *Result {

@@ -388,6 +388,8 @@ type arena struct {
 
 	queue eventHeap
 	vs    substrate.ViewSet
+	// slots is the job behind each of the round's view slots.
+	slots []*jobState
 
 	// Round-local scratch reused across scheduling rounds.
 	batchBuf  []event
@@ -541,4 +543,6 @@ func (a *arena) scrub() {
 	a.pending = a.pending[:0]
 	a.queue.reset()
 	a.vs.Reset()
+	clear(a.slots[:cap(a.slots)])
+	a.slots = a.slots[:0]
 }

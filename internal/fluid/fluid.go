@@ -390,7 +390,8 @@ func (s *sim) run() error {
 		}
 
 		// Build views and ask the policy for shares through the kernel driver
-		// (which reuses the allocation map for buffered policies).
+		// (which reuses the allocation buffer for buffered policies); slot i
+		// of the views and the shares is active job i.
 		s.vs.Begin(false, false)
 		for _, j := range s.active {
 			s.vs.Add(&j.view)
@@ -400,8 +401,9 @@ func (s *sim) run() error {
 		s.rounds++
 
 		// Apply rates (defensively capped by width).
-		for _, j := range s.active {
-			j.rate = math.Min(alloc[j.spec.ID], j.spec.Width)
+		shares := alloc.Shares()
+		for i, j := range s.active {
+			j.rate = math.Min(shares[i], j.spec.Width)
 			if j.rate < 0 {
 				j.rate = 0
 			}

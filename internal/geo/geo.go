@@ -344,9 +344,11 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 		queue.Push(specs[i].Arrival, geoEvent{kind: 1, jobID: specs[i].ID})
 	}
 
+	var quant sched.Quantizer
 	schedule := func() {
 		views := make([]sched.JobView, 0, len(order))
-		demand := make(map[int]float64, len(order))
+		demand := make([]float64, 0, len(order))
+		slots := make([]*geoJob, 0, len(order))
 		for _, id := range order {
 			gj := jobs[id]
 			if gj.remaining == 0 {
@@ -354,13 +356,14 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 			}
 			v := &geoView{j: gj, now: now}
 			views = append(views, v)
-			demand[id] = v.ReadyDemand()
+			demand = append(demand, v.ReadyDemand())
+			slots = append(slots, gj)
 		}
 		if len(views) == 0 {
 			return
 		}
 		alloc := policy.Assign(now, float64(capacity), views)
-		targets := sched.Quantize(alloc, demand, capacity)
+		targets := quant.Targets(alloc, demand, capacity)
 
 		launch := func(gj *geoJob) bool {
 			if len(gj.pending) == 0 {
@@ -398,12 +401,8 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 			target int
 		}
 		var cands []cand
-		for _, id := range order {
-			gj := jobs[id]
-			if gj.remaining == 0 {
-				continue
-			}
-			if t := targets[id]; t > gj.usage {
+		for i, gj := range slots {
+			if t := targets[i]; t > gj.usage {
 				cands = append(cands, cand{gj: gj, target: t})
 			}
 		}

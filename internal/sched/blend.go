@@ -68,13 +68,13 @@ func (b *Blend) SetProbe(p obs.Probe) {
 
 // Assign implements Scheduler.
 func (b *Blend) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
+	out := NewAssignment(jobs)
 	b.AssignInto(now, capacity, jobs, out)
 	return out
 }
 
-// AssignInto implements BufferedAssigner, reusing scratch maps for the
-// component allocations.
+// AssignInto implements BufferedAssigner, reusing scratch assignments for
+// the component allocations.
 func (b *Blend) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
 	if b.theta == 0 {
 		assignInto(b.primary, now, capacity, jobs, out)
@@ -84,18 +84,14 @@ func (b *Blend) AssignInto(now float64, capacity float64, jobs []JobView, out As
 		assignInto(b.secondary, now, capacity, jobs, out)
 		return
 	}
-	if b.pa == nil {
-		b.pa = make(Assignment, len(jobs))
-		b.sa = make(Assignment, len(jobs))
-	}
+	b.pa.Bind(jobs)
+	b.sa.Bind(jobs)
 	assignInto(b.primary, now, capacity, jobs, b.pa)
 	assignInto(b.secondary, now, capacity, jobs, b.sa)
-	clearAssignment(out)
-	for id, x := range b.pa {
-		out[id] += (1 - b.theta) * x
-	}
-	for id, x := range b.sa {
-		out[id] += b.theta * x
+	sh := out.Reset(jobs)
+	for i := range sh {
+		sh[i] += (1 - b.theta) * b.pa.shares[i]
+		sh[i] += b.theta * b.sa.shares[i]
 	}
 }
 

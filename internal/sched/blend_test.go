@@ -36,9 +36,9 @@ func TestBlendEndpoints(t *testing.T) {
 	}
 	want := las.Assign(0, 50, jobs)
 	got := pure.Assign(0, 50, jobs)
-	for id := range want {
-		if got[id] != want[id] {
-			t.Errorf("theta=0: job %d got %v, want primary's %v", id, got[id], want[id])
+	for _, j := range jobs {
+		if id := j.ID(); got.Share(id) != want.Share(id) {
+			t.Errorf("theta=0: job %d got %v, want primary's %v", id, got.Share(id), want.Share(id))
 		}
 	}
 
@@ -48,9 +48,9 @@ func TestBlendEndpoints(t *testing.T) {
 	}
 	want = fair.Assign(0, 50, jobs)
 	got = full.Assign(0, 50, jobs)
-	for id := range want {
-		if got[id] != want[id] {
-			t.Errorf("theta=1: job %d got %v, want secondary's %v", id, got[id], want[id])
+	for _, j := range jobs {
+		if id := j.ID(); got.Share(id) != want.Share(id) {
+			t.Errorf("theta=1: job %d got %v, want secondary's %v", id, got.Share(id), want.Share(id))
 		}
 	}
 }
@@ -71,9 +71,9 @@ func TestBlendConvexCombination(t *testing.T) {
 	got := b.Assign(0, 50, jobs)
 	for _, j := range jobs {
 		id := j.ID()
-		want := 0.75*la[id] + 0.25*fa[id]
-		if math.Abs(got[id]-want) > 1e-9 {
-			t.Errorf("job %d got %v, want %v", id, got[id], want)
+		want := 0.75*la.Share(id) + 0.25*fa.Share(id)
+		if math.Abs(got.Share(id)-want) > 1e-9 {
+			t.Errorf("job %d got %v, want %v", id, got.Share(id), want)
 		}
 	}
 	if got.Total() > 50+1e-9 {

@@ -1,13 +1,17 @@
 package sched
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
-// BufferedAssigner is the allocation-free variant of Scheduler.Assign: the
-// policy clears out and fills it with exactly the shares Assign would
-// return, reusing policy-owned scratch buffers instead of allocating per
-// round. All policies in this package and internal/core implement it; the
-// engines call it on the hot path. A policy carrying scratch buffers is not
-// safe for concurrent use — use one instance per simulation run.
+// BufferedAssigner is the allocation-free variant of Scheduler.Assign: out
+// arrives bound to jobs (see Assignment.Bind), and the policy zeroes it and
+// fills it with exactly the shares Assign would return, reusing
+// policy-owned scratch buffers instead of allocating per round. All policies
+// in this package and internal/core implement it; the engines call it on
+// the hot path. A policy carrying scratch buffers is not safe for concurrent
+// use — use one instance per simulation run.
 type BufferedAssigner interface {
 	AssignInto(now float64, capacity float64, jobs []JobView, out Assignment)
 }
@@ -27,31 +31,31 @@ type Observer interface {
 // ObserveHinter extends Observer for policies that can bound when their
 // next state change happens: ObserveHorizon returns the earliest virtual
 // time strictly after now at which Observe could mutate state, given
-// per-job upper bounds on the growth rate of the policy's decision metric
-// (for the fluid engine these are the exact allocation rates; the
-// task-level engine passes conservative bounds derived from container
-// usage). The engine may skip Observe calls before the horizon as long as
-// the job set and the rate bounds are unchanged.
+// per-job upper bounds on the growth rate of the policy's decision metric,
+// slot-aligned with jobs (for the fluid engine these are the exact
+// allocation rates; the task-level engine passes conservative bounds derived
+// from container usage). The engine may skip Observe calls before the
+// horizon as long as the job set and the rate bounds are unchanged.
 type ObserveHinter interface {
 	Observer
 	ObserveHorizon(now float64, jobs []JobView, rates Assignment) float64
 }
 
 // viewEntry caches one job's sort key and tie-break so ordering policies
-// sort concrete data instead of making interface calls inside a
-// reflection-based comparator.
+// sort small concrete records instead of making interface calls inside a
+// comparator; slot locates the job's view and share.
 type viewEntry struct {
-	key float64
-	seq int
-	job JobView
+	key  float64
+	seq  int
+	slot int
 }
 
 // buildEntries fills scratch (reusing its backing array) with
-// (key(j), Seq, j) for every job.
+// (key(j), Seq, slot) for every job.
 func buildEntries(scratch *[]viewEntry, jobs []JobView, key func(JobView) float64) []viewEntry {
 	entries := (*scratch)[:0]
-	for _, j := range jobs {
-		entries = append(entries, viewEntry{key: key(j), seq: j.Seq(), job: j})
+	for i, j := range jobs {
+		entries = append(entries, viewEntry{key: key(j), seq: j.Seq(), slot: i})
 	}
 	*scratch = entries
 	return entries
@@ -92,20 +96,21 @@ func less(a, b viewEntry) bool {
 
 // fillEntry is one job in a water-filling pass.
 type fillEntry struct {
-	id     int
+	slot   int
 	demand float64
 	weight float64
 }
 
-// fillInOrderInto grants each entry min(demand, remaining capacity) in
-// entry order, writing shares into out, and returns the total granted.
-func fillInOrderInto(capacity float64, entries []viewEntry, out Assignment) float64 {
+// fillInOrderInto grants each entry's job min(demand, remaining capacity) in
+// entry order, writing shares into their slots of out, and returns the
+// total granted.
+func fillInOrderInto(capacity float64, entries []viewEntry, jobs []JobView, out []float64) float64 {
 	var granted float64
 	for i := range entries {
 		if capacity <= 0 {
 			break
 		}
-		d := entries[i].job.ReadyDemand()
+		d := jobs[entries[i].slot].ReadyDemand()
 		if d <= 0 {
 			continue
 		}
@@ -113,7 +118,7 @@ func fillInOrderInto(capacity float64, entries []viewEntry, out Assignment) floa
 		if capacity < x {
 			x = capacity
 		}
-		out[entries[i].job.ID()] = x
+		out[entries[i].slot] = x
 		capacity -= x
 		granted += x
 	}
@@ -124,7 +129,7 @@ func fillInOrderInto(capacity float64, entries []viewEntry, out Assignment) floa
 // water filling) over the active entries, compacting the slice in place as
 // jobs saturate. Shares are added into out; the return value is the total
 // granted, accumulated in deterministic entry order.
-func fillActive(capacity float64, active []fillEntry, out Assignment) float64 {
+func fillActive(capacity float64, active []fillEntry, out []float64) float64 {
 	const eps = 1e-12
 	var granted float64
 	for capacity > eps && len(active) > 0 {
@@ -140,7 +145,7 @@ func fillActive(capacity float64, active []fillEntry, out Assignment) float64 {
 			e := active[i]
 			share := perWeight * e.weight
 			if e.demand <= share+eps {
-				out[e.id] += e.demand
+				out[e.slot] += e.demand
 				capacity -= e.demand
 				granted += e.demand
 				saturated = true
@@ -153,7 +158,7 @@ func fillActive(capacity float64, active []fillEntry, out Assignment) float64 {
 			// No bottlenecked jobs: everyone takes the proportional share.
 			for i := range active {
 				x := perWeight * active[i].weight
-				out[active[i].id] += x
+				out[active[i].slot] += x
 				granted += x
 			}
 			return granted
@@ -165,24 +170,18 @@ func fillActive(capacity float64, active []fillEntry, out Assignment) float64 {
 
 // weightedFillInto runs fillActive over the jobs with positive demand and
 // weight, reusing scratch for the active set.
-func weightedFillInto(capacity float64, jobs []JobView, weight func(JobView) float64, out Assignment, scratch *[]fillEntry) float64 {
+func weightedFillInto(capacity float64, jobs []JobView, weight func(JobView) float64, out []float64, scratch *[]fillEntry) float64 {
 	active := (*scratch)[:0]
-	for _, j := range jobs {
+	for i, j := range jobs {
 		d := j.ReadyDemand()
 		w := weight(j)
 		if d <= 0 || w <= 0 {
 			continue
 		}
-		active = append(active, fillEntry{id: j.ID(), demand: d, weight: w})
+		active = append(active, fillEntry{slot: i, demand: d, weight: w})
 	}
 	*scratch = active
 	return fillActive(capacity, active, out)
-}
-
-// clearAssignment empties out in place (policies clear their output buffer
-// at the top of AssignInto).
-func clearAssignment(out Assignment) {
-	clear(out)
 }
 
 // assignInto dispatches to p's AssignInto when implemented, otherwise
@@ -193,8 +192,9 @@ func assignInto(p Scheduler, now, capacity float64, jobs []JobView, out Assignme
 		ba.AssignInto(now, capacity, jobs, out)
 		return
 	}
-	clearAssignment(out)
-	for id, x := range p.Assign(now, capacity, jobs) {
-		out[id] = x
+	fresh := p.Assign(now, capacity, jobs)
+	if fresh.Len() != len(jobs) {
+		panic(fmt.Sprintf("sched: %s assigned %d slots for %d jobs", p.Name(), fresh.Len(), len(jobs)))
 	}
+	copy(out.Reset(jobs), fresh.shares)
 }

@@ -24,19 +24,18 @@ func (f *Fair) Name() string { return "FAIR" }
 
 // Assign implements Scheduler.
 func (f *Fair) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
+	out := NewAssignment(jobs)
 	f.AssignInto(now, capacity, jobs, out)
 	return out
 }
 
 // AssignInto implements BufferedAssigner.
 func (f *Fair) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
 	weightedFillInto(capacity, jobs, func(j JobView) float64 {
 		p := j.Priority()
 		if p <= 0 {
 			p = 1
 		}
 		return float64(p)
-	}, out, &f.fill)
+	}, out.Reset(jobs), &f.fill)
 }

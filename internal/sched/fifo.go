@@ -24,15 +24,15 @@ func (f *FIFO) Name() string { return "FIFO" }
 
 // Assign implements Scheduler.
 func (f *FIFO) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
+	out := NewAssignment(jobs)
 	f.AssignInto(now, capacity, jobs, out)
 	return out
 }
 
 // AssignInto implements BufferedAssigner.
 func (f *FIFO) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
+	sh := out.Reset(jobs)
 	entries := buildEntries(&f.entries, jobs, func(j JobView) float64 { return float64(j.Seq()) })
 	sortEntries(entries)
-	fillInOrderInto(capacity, entries, out)
+	fillInOrderInto(capacity, entries, jobs, sh)
 }

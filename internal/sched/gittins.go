@@ -60,7 +60,7 @@ func (g *Gittins) lazyTable() *dist.GittinsTable {
 
 // Assign implements Scheduler.
 func (g *Gittins) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
+	out := NewAssignment(jobs)
 	g.AssignInto(now, capacity, jobs, out)
 	return out
 }
@@ -71,13 +71,13 @@ func (g *Gittins) Assign(now float64, capacity float64, jobs []JobView) Assignme
 // the distribution's support or sitting on a completion atom — sorts first
 // and is driven to completion).
 func (g *Gittins) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
+	sh := out.Reset(jobs)
 	table := g.lazyTable()
 	entries := buildEntries(&g.entries, jobs, func(j JobView) float64 {
 		return -table.Index(j.Attained())
 	})
 	sortEntries(entries)
-	fillInOrderInto(capacity, entries, out)
+	fillInOrderInto(capacity, entries, jobs, sh)
 }
 
 // Horizon implements Hinter: the discretized index is constant between grid
@@ -86,8 +86,8 @@ func (g *Gittins) AssignInto(now float64, capacity float64, jobs []JobView, out 
 func (g *Gittins) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
 	table := g.lazyTable()
 	horizon := math.Inf(1)
-	for _, j := range jobs {
-		rate := alloc[j.ID()]
+	for i, j := range jobs {
+		rate := alloc.shares[i]
 		if rate <= 0 {
 			continue
 		}

@@ -39,14 +39,14 @@ func (l *LAS) Name() string { return "LAS" }
 
 // Assign implements Scheduler.
 func (l *LAS) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
+	out := NewAssignment(jobs)
 	l.AssignInto(now, capacity, jobs, out)
 	return out
 }
 
 // AssignInto implements BufferedAssigner.
 func (l *LAS) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
+	sh := out.Reset(jobs)
 	entries := buildEntries(&l.entries, jobs, JobView.Attained)
 	sortEntries(entries)
 	i := 0
@@ -61,12 +61,12 @@ func (l *LAS) AssignInto(now float64, capacity float64, jobs []JobView, out Assi
 		// accumulated in group order, keeping the result deterministic.
 		active := l.fill[:0]
 		for _, e := range entries[i:groupEnd] {
-			if d := e.job.ReadyDemand(); d > 0 {
-				active = append(active, fillEntry{id: e.job.ID(), demand: d, weight: 1})
+			if d := jobs[e.slot].ReadyDemand(); d > 0 {
+				active = append(active, fillEntry{slot: e.slot, demand: d, weight: 1})
 			}
 		}
 		l.fill = active
-		capacity -= fillActive(capacity, active, out)
+		capacity -= fillActive(capacity, active, sh)
 		i = groupEnd
 	}
 }
@@ -85,8 +85,8 @@ func (l *LAS) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
 	sort.Float64s(levels)
 
 	horizon := math.Inf(1)
-	for _, j := range jobs {
-		rate := alloc[j.ID()]
+	for i, j := range jobs {
+		rate := alloc.shares[i]
 		if rate <= 0 {
 			continue
 		}

@@ -25,13 +25,12 @@ func (p *PS) Name() string { return "PS" }
 
 // Assign implements Scheduler.
 func (p *PS) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
+	out := NewAssignment(jobs)
 	p.AssignInto(now, capacity, jobs, out)
 	return out
 }
 
 // AssignInto implements BufferedAssigner.
 func (p *PS) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
-	weightedFillInto(capacity, jobs, func(JobView) float64 { return 1 }, out, &p.fill)
+	weightedFillInto(capacity, jobs, func(JobView) float64 { return 1 }, out.Reset(jobs), &p.fill)
 }

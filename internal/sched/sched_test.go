@@ -3,6 +3,7 @@ package sched_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -38,14 +39,14 @@ func TestFIFOServesInAdmissionOrder(t *testing.T) {
 		job(3, 3, 1, 0, 50),
 	)
 	alloc := s.Assign(0, 100, jobs)
-	if alloc[2] != 80 {
-		t.Errorf("earliest job got %v, want full demand 80", alloc[2])
+	if alloc.Share(2) != 80 {
+		t.Errorf("earliest job got %v, want full demand 80", alloc.Share(2))
 	}
-	if alloc[1] != 20 {
-		t.Errorf("second job got %v, want leftover 20", alloc[1])
+	if alloc.Share(1) != 20 {
+		t.Errorf("second job got %v, want leftover 20", alloc.Share(1))
 	}
-	if alloc[3] != 0 {
-		t.Errorf("third job got %v, want 0", alloc[3])
+	if alloc.Share(3) != 0 {
+		t.Errorf("third job got %v, want 0", alloc.Share(3))
 	}
 }
 
@@ -53,11 +54,11 @@ func TestFIFOSkipsZeroDemand(t *testing.T) {
 	s := sched.NewFIFO()
 	jobs := views(job(1, 1, 1, 0, 0), job(2, 2, 1, 0, 10))
 	alloc := s.Assign(0, 100, jobs)
-	if _, ok := alloc[1]; ok {
-		t.Error("zero-demand job received an allocation entry")
+	if alloc.Share(1) != 0 {
+		t.Error("zero-demand job received an allocation")
 	}
-	if alloc[2] != 10 {
-		t.Errorf("job 2 got %v, want 10", alloc[2])
+	if alloc.Share(2) != 10 {
+		t.Errorf("job 2 got %v, want 10", alloc.Share(2))
 	}
 }
 
@@ -68,7 +69,7 @@ func TestFairProportionalToPriority(t *testing.T) {
 		job(2, 2, 4, 0, 1000),
 	)
 	alloc := s.Assign(0, 100, jobs)
-	if math.Abs(alloc[1]-20) > 1e-9 || math.Abs(alloc[2]-80) > 1e-9 {
+	if math.Abs(alloc.Share(1)-20) > 1e-9 || math.Abs(alloc.Share(2)-80) > 1e-9 {
 		t.Errorf("alloc = %v, want 20/80 split by priority", alloc)
 	}
 }
@@ -80,11 +81,11 @@ func TestFairDemandCapRedistributes(t *testing.T) {
 		job(2, 2, 1, 0, 1000),
 	)
 	alloc := s.Assign(0, 100, jobs)
-	if alloc[1] != 5 {
-		t.Errorf("capped job got %v, want 5", alloc[1])
+	if alloc.Share(1) != 5 {
+		t.Errorf("capped job got %v, want 5", alloc.Share(1))
 	}
-	if math.Abs(alloc[2]-95) > 1e-9 {
-		t.Errorf("other job got %v, want redistributed 95", alloc[2])
+	if math.Abs(alloc.Share(2)-95) > 1e-9 {
+		t.Errorf("other job got %v, want redistributed 95", alloc.Share(2))
 	}
 }
 
@@ -95,8 +96,8 @@ func TestFairZeroOrNegativePriorityTreatedAsOne(t *testing.T) {
 		job(2, 2, 1, 0, 1000),
 	)
 	alloc := s.Assign(0, 100, jobs)
-	if math.Abs(alloc[1]-50) > 1e-9 {
-		t.Errorf("zero-priority job got %v, want 50", alloc[1])
+	if math.Abs(alloc.Share(1)-50) > 1e-9 {
+		t.Errorf("zero-priority job got %v, want 50", alloc.Share(1))
 	}
 }
 
@@ -108,11 +109,11 @@ func TestLASFavorsLeastAttained(t *testing.T) {
 		job(3, 3, 1, 200, 100),
 	)
 	alloc := s.Assign(0, 100, jobs)
-	if alloc[2] != 100 {
-		t.Errorf("least-attained job got %v, want all 100", alloc[2])
+	if alloc.Share(2) != 100 {
+		t.Errorf("least-attained job got %v, want all 100", alloc.Share(2))
 	}
-	if alloc[1] != 0 || alloc[3] != 0 {
-		t.Errorf("other jobs got %v/%v, want 0", alloc[1], alloc[3])
+	if alloc.Share(1) != 0 || alloc.Share(3) != 0 {
+		t.Errorf("other jobs got %v/%v, want 0", alloc.Share(1), alloc.Share(3))
 	}
 }
 
@@ -124,11 +125,11 @@ func TestLASTieGroupSharesEvenly(t *testing.T) {
 		job(3, 3, 1, 900, 100),
 	)
 	alloc := s.Assign(0, 100, jobs)
-	if math.Abs(alloc[1]-50) > 1e-9 || math.Abs(alloc[2]-50) > 1e-9 {
-		t.Errorf("tied jobs got %v/%v, want even 50/50", alloc[1], alloc[2])
+	if math.Abs(alloc.Share(1)-50) > 1e-9 || math.Abs(alloc.Share(2)-50) > 1e-9 {
+		t.Errorf("tied jobs got %v/%v, want even 50/50", alloc.Share(1), alloc.Share(2))
 	}
-	if alloc[3] != 0 {
-		t.Errorf("large job got %v, want 0", alloc[3])
+	if alloc.Share(3) != 0 {
+		t.Errorf("large job got %v, want 0", alloc.Share(3))
 	}
 }
 
@@ -139,11 +140,11 @@ func TestLASSpilloverToNextGroup(t *testing.T) {
 		job(2, 2, 1, 10, 100),
 	)
 	alloc := s.Assign(0, 100, jobs)
-	if alloc[1] != 30 {
-		t.Errorf("least job got %v, want its demand 30", alloc[1])
+	if alloc.Share(1) != 30 {
+		t.Errorf("least job got %v, want its demand 30", alloc.Share(1))
 	}
-	if math.Abs(alloc[2]-70) > 1e-9 {
-		t.Errorf("next job got %v, want spillover 70", alloc[2])
+	if math.Abs(alloc.Share(2)-70) > 1e-9 {
+		t.Errorf("next job got %v, want spillover 70", alloc.Share(2))
 	}
 }
 
@@ -177,8 +178,8 @@ func TestSJFOrdersBySizeHint(t *testing.T) {
 	large := job(2, 1, 1, 0, 100)
 	large.SizeHintVal = 1000
 	alloc := s.Assign(0, 100, views(small, large))
-	if alloc[1] != 100 {
-		t.Errorf("small job got %v, want all capacity", alloc[1])
+	if alloc.Share(1) != 100 {
+		t.Errorf("small job got %v, want all capacity", alloc.Share(1))
 	}
 }
 
@@ -191,8 +192,8 @@ func TestSJFMisestimatedLargeJobBlocks(t *testing.T) {
 	large := job(2, 2, 1, 0, 100)
 	large.SizeHintVal = 5 // under-estimated; true size is huge
 	alloc := s.Assign(0, 100, views(small, large))
-	if alloc[2] != 100 {
-		t.Errorf("under-estimated large job got %v, want all capacity", alloc[2])
+	if alloc.Share(2) != 100 {
+		t.Errorf("under-estimated large job got %v, want all capacity", alloc.Share(2))
 	}
 }
 
@@ -203,15 +204,30 @@ func TestSRTFOrdersByRemaining(t *testing.T) {
 	b := job(2, 2, 1, 0, 100)
 	b.RemSizeVal = 5
 	alloc := s.Assign(0, 100, views(a, b))
-	if alloc[2] != 100 {
-		t.Errorf("shortest-remaining job got %v, want all capacity", alloc[2])
+	if alloc.Share(2) != 100 {
+		t.Errorf("shortest-remaining job got %v, want all capacity", alloc.Share(2))
 	}
 }
 
+// quantize runs the dense quantizer over (id, share, demand) triples given
+// slot by slot and returns the targets by job ID.
+func quantize(ids []int, shares, demand []float64, capacity int) map[int]int {
+	jobs := make([]sched.JobView, len(ids))
+	for i, id := range ids {
+		jobs[i] = job(id, id, 1, 0, 0)
+	}
+	var qz sched.Quantizer
+	out := map[int]int{}
+	for i, n := range qz.Targets(sched.AssignmentOf(jobs, shares), demand, capacity) {
+		if n != 0 {
+			out[ids[i]] = n
+		}
+	}
+	return out
+}
+
 func TestQuantizeBasic(t *testing.T) {
-	alloc := sched.Assignment{1: 33.4, 2: 33.3, 3: 33.3}
-	demand := map[int]float64{1: 100, 2: 100, 3: 100}
-	q := sched.Quantize(alloc, demand, 100)
+	q := quantize([]int{1, 2, 3}, []float64{33.4, 33.3, 33.3}, []float64{100, 100, 100}, 100)
 	total := q[1] + q[2] + q[3]
 	if total != 100 {
 		t.Errorf("quantized total = %d, want 100 (%v)", total, q)
@@ -222,20 +238,16 @@ func TestQuantizeBasic(t *testing.T) {
 }
 
 func TestQuantizeRespectsDemand(t *testing.T) {
-	alloc := sched.Assignment{1: 10.6}
-	demand := map[int]float64{1: 10}
-	q := sched.Quantize(alloc, demand, 100)
+	q := quantize([]int{1}, []float64{10.6}, []float64{10}, 100)
 	if q[1] != 10 {
 		t.Errorf("job 1 got %d, want demand cap 10", q[1])
 	}
 }
 
 func TestQuantizeDropsZero(t *testing.T) {
-	alloc := sched.Assignment{1: 0, 2: 5}
-	demand := map[int]float64{1: 10, 2: 10}
-	q := sched.Quantize(alloc, demand, 100)
+	q := quantize([]int{1, 2}, []float64{0, 5}, []float64{10, 10}, 100)
 	if _, ok := q[1]; ok {
-		t.Error("zero share produced an entry")
+		t.Error("zero share produced a target")
 	}
 	if q[2] != 5 {
 		t.Errorf("job 2 got %d, want 5", q[2])
@@ -257,7 +269,8 @@ func checkInvariants(t *testing.T, name string, capacity float64, jobs []sched.J
 	for _, d := range demand {
 		totalDemand += d
 	}
-	for id, x := range alloc {
+	for i, x := range alloc.Shares() {
+		id := alloc.Views()[i].ID()
 		if x < -eps {
 			t.Errorf("%s: negative allocation %v for job %d", name, x, id)
 		}
@@ -302,8 +315,8 @@ func TestPolicyInvariantsProperty(t *testing.T) {
 			for _, j := range jobs {
 				totalDemand += j.ReadyDemand()
 			}
-			for _, j := range jobs {
-				if alloc[j.ID()] < -eps || alloc[j.ID()] > j.ReadyDemand()+eps {
+			for i, j := range jobs {
+				if x := alloc.Shares()[i]; x < -eps || x > j.ReadyDemand()+eps {
 					return false
 				}
 			}
@@ -346,29 +359,22 @@ func TestPoliciesDeterministic(t *testing.T) {
 	for _, p := range policies {
 		a := p.Assign(0, 64, jobs)
 		b := p.Assign(0, 64, jobs)
-		if len(a) != len(b) {
-			t.Fatalf("%s: non-deterministic allocation size", p.Name())
-		}
-		for id, x := range a {
-			if b[id] != x {
-				t.Errorf("%s: job %d allocation differs: %v vs %v", p.Name(), id, x, b[id])
-			}
+		if !slices.Equal(a.Shares(), b.Shares()) {
+			t.Errorf("%s: allocation differs: %v vs %v", p.Name(), a.Shares(), b.Shares())
 		}
 	}
 }
 
 func TestQuantizeBudgetCappedByCapacity(t *testing.T) {
 	// Fractional shares summing past capacity are clamped.
-	alloc := sched.Assignment{1: 60.7, 2: 60.7}
-	demand := map[int]float64{1: 100, 2: 100}
-	q := sched.Quantize(alloc, demand, 100)
+	q := quantize([]int{1, 2}, []float64{60.7, 60.7}, []float64{100, 100}, 100)
 	if total := q[1] + q[2]; total > 100 {
 		t.Errorf("quantized total %d exceeds capacity", total)
 	}
 }
 
 func TestQuantizeEmpty(t *testing.T) {
-	if q := sched.Quantize(sched.Assignment{}, nil, 10); len(q) != 0 {
+	if q := quantize(nil, nil, nil, 10); len(q) != 0 {
 		t.Errorf("empty allocation produced %v", q)
 	}
 }

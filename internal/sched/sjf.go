@@ -24,17 +24,17 @@ func (s *SJF) Name() string { return "SJF" }
 
 // Assign implements Scheduler.
 func (s *SJF) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
+	out := NewAssignment(jobs)
 	s.AssignInto(now, capacity, jobs, out)
 	return out
 }
 
 // AssignInto implements BufferedAssigner.
 func (s *SJF) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
+	sh := out.Reset(jobs)
 	entries := buildEntries(&s.entries, jobs, JobView.SizeHint)
 	sortEntries(entries)
-	fillInOrderInto(capacity, entries, out)
+	fillInOrderInto(capacity, entries, jobs, sh)
 }
 
 // SRTF is the preemptive shortest-remaining-time-first policy. Like SJF it
@@ -59,15 +59,15 @@ func (s *SRTF) Name() string { return "SRTF" }
 
 // Assign implements Scheduler.
 func (s *SRTF) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
+	out := NewAssignment(jobs)
 	s.AssignInto(now, capacity, jobs, out)
 	return out
 }
 
 // AssignInto implements BufferedAssigner.
 func (s *SRTF) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
+	sh := out.Reset(jobs)
 	entries := buildEntries(&s.entries, jobs, JobView.RemainingSizeHint)
 	sortEntries(entries)
-	fillInOrderInto(capacity, entries, out)
+	fillInOrderInto(capacity, entries, jobs, sh)
 }

@@ -30,11 +30,12 @@ type srptRec struct {
 	seq int
 }
 
-// srptEntry is one job in the persistent remaining-service order.
+// srptEntry is one job in the persistent remaining-service order; ref
+// addresses the job's roster record.
 type srptEntry struct {
 	rem float64
 	seq int
-	id  int
+	ref int
 }
 
 // SRPT is the preemptive shortest-remaining-processing-time baseline with
@@ -52,22 +53,13 @@ type srptEntry struct {
 // The scheduler carries persistent state, so one instance must not be shared
 // between concurrent simulation runs.
 type SRPT struct {
-	tracked  map[int]srptRec
-	ordered  []srptEntry
-	views    map[int]JobView
-	seen     map[int]bool
-	departed []int
-	dirty    bool
+	roster  Roster[srptRec]
+	ordered []srptEntry
+	dirty   bool
 }
 
 // NewSRPT returns the exact-SRPT baseline scheduler.
-func NewSRPT() *SRPT {
-	return &SRPT{
-		tracked: make(map[int]srptRec),
-		views:   make(map[int]JobView),
-		seen:    make(map[int]bool),
-	}
-}
+func NewSRPT() *SRPT { return &SRPT{} }
 
 var (
 	_ Scheduler        = (*SRPT)(nil)
@@ -81,22 +73,22 @@ func (s *SRPT) Name() string { return "SRPT" }
 
 // Assign implements Scheduler.
 func (s *SRPT) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
+	out := NewAssignment(jobs)
 	s.AssignInto(now, capacity, jobs, out)
 	return out
 }
 
 // AssignInto implements BufferedAssigner.
 func (s *SRPT) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
+	sh := out.Reset(jobs)
 	s.sweep(jobs)
 	s.restoreOrder()
 	for i := range s.ordered {
 		if capacity <= 0 {
 			break
 		}
-		j := s.views[s.ordered[i].id]
-		d := j.ReadyDemand()
+		slot := s.roster.Slot(s.ordered[i].ref)
+		d := jobs[slot].ReadyDemand()
 		if d <= 0 {
 			continue
 		}
@@ -104,7 +96,7 @@ func (s *SRPT) AssignInto(now float64, capacity float64, jobs []JobView, out Ass
 		if capacity < x {
 			x = capacity
 		}
-		out[j.ID()] = x
+		sh[slot] = x
 		capacity -= x
 	}
 }
@@ -121,40 +113,27 @@ func (s *SRPT) Observe(now float64, jobs []JobView) {
 // remaining service (deferring the rarely-needed re-sort to restoreOrder's
 // sortedness walk).
 func (s *SRPT) sweep(jobs []JobView) {
-	seen := s.seen
-	clear(seen)
-	clear(s.views)
-	for _, j := range jobs {
-		id := j.ID()
-		seen[id] = true
-		s.views[id] = j
+	s.roster.Begin()
+	for i, j := range jobs {
 		rem := exactRemaining(j)
-		rec, ok := s.tracked[id]
+		ref, ok := s.roster.Lookup(j.ID())
 		if !ok {
+			ref = s.roster.Add(j.ID())
 			seq := j.Seq()
-			s.insertEntry(srptEntry{rem: rem, seq: seq, id: id})
-			s.tracked[id] = srptRec{rem: rem, seq: seq}
-			continue
-		}
-		if rem != rec.rem {
-			if pos := s.findEntry(rec, id); pos >= 0 {
+			s.insertEntry(srptEntry{rem: rem, seq: seq, ref: ref})
+			*s.roster.Rec(ref) = srptRec{rem: rem, seq: seq}
+		} else if rec := s.roster.Rec(ref); rem != rec.rem {
+			if pos := s.findEntry(*rec, ref); pos >= 0 {
 				s.ordered[pos].rem = rem
 			}
 			s.dirty = true
 			rec.rem = rem
-			s.tracked[id] = rec
 		}
+		s.roster.Visit(ref, i)
 	}
-	s.departed = s.departed[:0]
-	for id := range s.tracked { // range-ok: per-id collection, order restored by sort below
-		if !seen[id] {
-			s.departed = append(s.departed, id)
-		}
-	}
-	slices.Sort(s.departed) // deterministic removal order
-	for _, id := range s.departed {
-		s.removeEntry(s.tracked[id], id)
-		delete(s.tracked, id)
+	for _, ref := range s.roster.Departed() {
+		s.removeEntry(*s.roster.Rec(ref), ref)
+		s.roster.Remove(ref)
 	}
 }
 
@@ -192,9 +171,9 @@ func (s *SRPT) insertEntry(e srptEntry) {
 
 // findEntry locates the job's entry by its stored key, falling back to a
 // linear scan when the list is dirty. Returns -1 if absent.
-func (s *SRPT) findEntry(rec srptRec, id int) int {
+func (s *SRPT) findEntry(rec srptRec, ref int) int {
 	list := s.ordered
-	key := srptEntry{rem: rec.rem, seq: rec.seq, id: id}
+	key := srptEntry{rem: rec.rem, seq: rec.seq, ref: ref}
 	lo, hi := 0, len(list)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -204,11 +183,11 @@ func (s *SRPT) findEntry(rec srptRec, id int) int {
 			hi = mid
 		}
 	}
-	if lo < len(list) && list[lo].id == id {
+	if lo < len(list) && list[lo].ref == ref {
 		return lo
 	}
 	for i := range list {
-		if list[i].id == id {
+		if list[i].ref == ref {
 			return i
 		}
 	}
@@ -216,8 +195,8 @@ func (s *SRPT) findEntry(rec srptRec, id int) int {
 }
 
 // removeEntry deletes the job's entry from the ordered list.
-func (s *SRPT) removeEntry(rec srptRec, id int) {
-	if pos := s.findEntry(rec, id); pos >= 0 {
+func (s *SRPT) removeEntry(rec srptRec, ref int) {
+	if pos := s.findEntry(rec, ref); pos >= 0 {
 		list := s.ordered
 		copy(list[pos:], list[pos+1:])
 		s.ordered = list[:len(list)-1]
@@ -258,11 +237,13 @@ func compareRemSeq(a, b srptEntry) int {
 // Horizon implements Hinter: under linear remaining-service decay the first
 // order inversion always occurs between entries adjacent in the current
 // order, when a faster-draining later entry catches a slower earlier one.
+// alloc must be the assignment of the last AssignInto, whose slots the
+// persistent order still refers to.
 func (s *SRPT) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
 	horizon := math.Inf(1)
 	for i := 1; i < len(s.ordered); i++ {
 		a, b := &s.ordered[i-1], &s.ordered[i]
-		ra, rb := alloc[a.id], alloc[b.id]
+		ra, rb := alloc.shares[s.roster.Slot(a.ref)], alloc.shares[s.roster.Slot(b.ref)]
 		if rb <= ra {
 			continue
 		}

@@ -12,8 +12,8 @@
 //   - Queue: the job-admission module (FIFO waiting queue, running-job cap,
 //     admission sequence numbers, stuck-admission detection).
 //   - ViewSet: the scratch-reusing registry of scheduler-facing job views a
-//     substrate rebuilds each round, with the optional ready-demand and
-//     metric-rate-bound side maps.
+//     substrate rebuilds each round, with the optional slot-aligned
+//     ready-demand and metric-rate-bound side tables.
 //   - Driver: the policy invocation loop — BufferedAssigner/Observer/
 //     ObserveHinter/Hinter capability dispatch, allocation-buffer reuse, and
 //     the observation-horizon gating that lets substrates skip dead rounds
@@ -29,6 +29,7 @@
 package substrate
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -38,7 +39,8 @@ import (
 
 // Driver drives one sched.Scheduler on behalf of a substrate. It resolves
 // the policy's optional capabilities once at construction, owns the reused
-// allocation buffer for buffered policies, and tracks the observation
+// allocation buffer for buffered policies (bound to each round's views
+// before the policy fills it), and tracks the observation
 // horizon that bounds when a skipped round must replay the policy's state
 // mutation. A Driver (like the policy it wraps) is not safe for concurrent
 // use: each run drives it from a single scheduling loop.
@@ -67,7 +69,6 @@ func NewDriver(policy sched.Scheduler) *Driver {
 	d := &Driver{policy: policy, dirty: true}
 	if b, ok := policy.(sched.BufferedAssigner); ok {
 		d.buffered = b
-		d.alloc = make(sched.Assignment)
 	}
 	if o, ok := policy.(sched.Observer); ok {
 		d.observer = o
@@ -102,35 +103,39 @@ func (d *Driver) SetProbe(p obs.Probe) {
 func (d *Driver) Name() string { return d.policy.Name() }
 
 // Assign runs one full policy invocation, going through AssignInto when the
-// policy supports buffered assignment. The returned assignment aliases the
-// driver's buffer for buffered policies and is valid until the next Assign
-// call. A full invocation mutates stateful policies, so it also invalidates
-// any previously computed observation horizon.
+// policy supports buffered assignment. The returned assignment is bound to
+// views (slot i belongs to views[i]); for buffered policies it aliases the
+// driver's buffer and is valid until the next Assign call. A full invocation
+// mutates stateful policies, so it also invalidates any previously computed
+// observation horizon.
 func (d *Driver) Assign(now, capacity float64, views []sched.JobView) sched.Assignment {
 	d.dirty = true
 	if d.probe != nil {
 		d.probe.RoundExecuted(now, len(views))
 	}
-	if d.latency != nil {
-		// Time only the policy invocation (wall-clock), feeding the
-		// round-latency histogram. Guarded so unprobed runs never touch the
-		// clock — the nil-probe path stays branch-and-return.
-		start := time.Now()
-		var out sched.Assignment
-		if d.buffered != nil {
-			d.buffered.AssignInto(now, capacity, views, d.alloc)
-			out = d.alloc
-		} else {
-			out = d.policy.Assign(now, capacity, views)
-		}
-		d.latency.ObserveRoundLatency(time.Since(start).Seconds())
-		return out
+	if d.latency == nil {
+		return d.assign(now, capacity, views)
 	}
+	// Time only the policy invocation (wall-clock), feeding the round-latency
+	// histogram. Guarded so unprobed runs never touch the clock — the
+	// nil-probe path stays branch-and-return.
+	start := time.Now()
+	out := d.assign(now, capacity, views)
+	d.latency.ObserveRoundLatency(time.Since(start).Seconds())
+	return out
+}
+
+func (d *Driver) assign(now, capacity float64, views []sched.JobView) sched.Assignment {
 	if d.buffered != nil {
+		d.alloc.Bind(views)
 		d.buffered.AssignInto(now, capacity, views, d.alloc)
 		return d.alloc
 	}
-	return d.policy.Assign(now, capacity, views)
+	out := d.policy.Assign(now, capacity, views)
+	if out.Len() != len(views) {
+		panic(fmt.Sprintf("substrate: %s assigned %d slots for %d jobs", d.policy.Name(), out.Len(), len(views)))
+	}
+	return out
 }
 
 // MarkDirty invalidates the observation horizon. Substrates call it whenever
@@ -173,8 +178,8 @@ func (d *Driver) Observe(now float64, vs *ViewSet) {
 		return
 	}
 	d.observer.Observe(now, vs.views)
-	if d.obsHinter != nil && vs.hasRates {
-		d.obsHorizon = d.obsHinter.ObserveHorizon(now, vs.views, vs.rates)
+	if d.obsHinter != nil && vs.withRates {
+		d.obsHorizon = d.obsHinter.ObserveHorizon(now, vs.views, vs.Rates())
 		d.dirty = false
 	}
 }

@@ -27,9 +27,9 @@ type fakePolicy struct{ assigns int }
 func (p *fakePolicy) Name() string { return "fake" }
 func (p *fakePolicy) Assign(now, capacity float64, jobs []sched.JobView) sched.Assignment {
 	p.assigns++
-	out := make(sched.Assignment, len(jobs))
-	for _, j := range jobs {
-		out[j.ID()] = 1
+	out := sched.NewAssignment(jobs)
+	for i := range jobs {
+		out.Shares()[i] = 1
 	}
 	return out
 }
@@ -42,9 +42,9 @@ type fakeBuffered struct {
 
 func (p *fakeBuffered) AssignInto(now, capacity float64, jobs []sched.JobView, out sched.Assignment) {
 	p.intoCalls++
-	clear(out)
-	for _, j := range jobs {
-		out[j.ID()] = 2
+	sh := out.Reset(jobs)
+	for i := range sh {
+		sh[i] = 2
 	}
 }
 
@@ -142,8 +142,8 @@ func TestDriverBufferedDispatch(t *testing.T) {
 	if p.intoCalls != 2 || p.assigns != 0 {
 		t.Fatalf("buffered dispatch: AssignInto called %d times, Assign %d; want 2, 0", p.intoCalls, p.assigns)
 	}
-	if a1[7] != 2 || a2[7] != 2 {
-		t.Fatalf("buffered shares = %v / %v, want 2", a1[7], a2[7])
+	if a1.Share(7) != 2 || a2.Share(7) != 2 {
+		t.Fatalf("buffered shares = %v / %v, want 2", a1.Share(7), a2.Share(7))
 	}
 }
 
@@ -151,13 +151,13 @@ func TestDriverPlainDispatch(t *testing.T) {
 	p := &fakePolicy{}
 	d := substrate.NewDriver(p)
 	a := d.Assign(0, 4, []sched.JobView{fakeView{id: 3}})
-	if p.assigns != 1 || a[3] != 1 {
+	if p.assigns != 1 || a.Share(3) != 1 {
 		t.Fatalf("plain dispatch: assigns=%d alloc=%v", p.assigns, a)
 	}
 	if d.Observes() || d.NeedsRates() || d.ObservationDue(0) {
 		t.Fatal("stateless policy should need no observation")
 	}
-	if h := d.Horizon(0, nil, nil); !math.IsInf(h, 1) {
+	if h := d.Horizon(0, nil, sched.Assignment{}); !math.IsInf(h, 1) {
 		t.Fatalf("hintless Horizon = %v, want +Inf", h)
 	}
 }
@@ -174,8 +174,7 @@ func TestDriverObservationGating(t *testing.T) {
 
 	var vs substrate.ViewSet
 	vs.Begin(false, true)
-	vs.Add(fakeView{id: 1})
-	vs.SetRate(1, 2.5)
+	vs.SetRate(vs.Add(fakeView{id: 1}), 2.5)
 	d.Observe(10, &vs)
 	if p.observes != 1 || p.lastNow != 10 || p.horizonCalls != 1 {
 		t.Fatalf("observe with rates: observes=%d lastNow=%v horizonCalls=%d", p.observes, p.lastNow, p.horizonCalls)
@@ -242,15 +241,16 @@ func TestDriverPlainObserver(t *testing.T) {
 func TestViewSetReuse(t *testing.T) {
 	var vs substrate.ViewSet
 	vs.Begin(true, true)
-	vs.Add(fakeView{id: 1})
-	vs.SetDemand(1, 4)
-	vs.SetRate(1, 0.5)
-	if vs.Len() != 1 || vs.Demand()[1] != 4 || vs.Rates()[1] != 0.5 || !vs.HasRates() {
+	vs.Add(fakeView{id: 9})
+	slot := vs.Add(fakeView{id: 1})
+	vs.SetDemand(slot, 4)
+	vs.SetRate(slot, 0.5)
+	if slot != 1 || vs.Len() != 2 || vs.Demand()[1] != 4 || vs.Rates().Share(1) != 0.5 || vs.Rates().Share(9) != 0 || !vs.HasRates() {
 		t.Fatalf("round 1 state wrong: len=%d demand=%v rates=%v", vs.Len(), vs.Demand(), vs.Rates())
 	}
 	vs.Begin(true, false)
 	if vs.Len() != 0 || len(vs.Demand()) != 0 || vs.HasRates() {
-		t.Fatalf("Begin must clear requested maps: len=%d demand=%v hasRates=%v", vs.Len(), vs.Demand(), vs.HasRates())
+		t.Fatalf("Begin must clear the side tables: len=%d demand=%v hasRates=%v", vs.Len(), vs.Demand(), vs.HasRates())
 	}
 }
 

@@ -15,11 +15,12 @@
 package yarn
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -396,6 +397,7 @@ type resourceManager struct {
 	driver *substrate.Driver
 	adm    *substrate.Queue[*application]
 	vs     substrate.ViewSet
+	slots  []*application // the application behind each view slot
 	quant  sched.Quantizer
 	cands  []launchCand
 	probe  obs.Probe
@@ -569,17 +571,20 @@ func (rm *resourceManager) admitAndSchedule() {
 
 	ready := 0.0
 	rm.vs.Begin(true, false)
+	slots := rm.slots[:0]
 	for _, id := range rm.order {
 		app, ok := rm.apps[id]
 		if !ok || !app.admitted {
 			continue
 		}
 		v := app.view(now, scale)
-		rm.vs.Add(v)
+		i := rm.vs.Add(v)
+		slots = append(slots, app)
 		d := v.ReadyDemand()
-		rm.vs.SetDemand(id, d)
+		rm.vs.SetDemand(i, d)
 		ready += d
 	}
+	rm.slots = slots
 	if rm.vs.Len() == 0 {
 		return
 	}
@@ -593,26 +598,23 @@ func (rm *resourceManager) admitAndSchedule() {
 
 	capacity := rm.cluster.cfg.Nodes * rm.cluster.cfg.ContainersPerNode
 	alloc := rm.driver.Assign(policyNow, float64(capacity), rm.vs.Views())
-	targets := rm.quant.QuantizeInto(alloc, rm.vs.Demand(), capacity)
+	targets := rm.quant.Targets(alloc, rm.vs.Demand(), capacity)
 
 	cands := rm.cands[:0]
-	for _, id := range rm.order {
-		app, ok := rm.apps[id]
-		if !ok || !app.admitted {
-			continue
-		}
-		if t := targets[id]; t > app.usage {
+	for i, app := range slots {
+		if t := targets[i]; t > app.usage {
 			cands = append(cands, launchCand{app: app, target: t})
 		}
 	}
 	rm.cands = cands
-	sort.SliceStable(cands, func(i, j int) bool {
-		di := cands[i].target - cands[i].app.usage
-		dj := cands[j].target - cands[j].app.usage
-		if di != dj {
-			return di > dj
+	// Largest deficit first, then admission order. Admission sequences are
+	// unique, so the order is total and an unstable sort is deterministic; a
+	// capture-free comparator keeps the round allocation free.
+	slices.SortFunc(cands, func(a, b launchCand) int {
+		if da, db := a.target-a.app.usage, b.target-b.app.usage; da != db {
+			return cmp.Compare(db, da)
 		}
-		return cands[i].app.seq < cands[j].app.seq
+		return cmp.Compare(a.app.seq, b.app.seq)
 	})
 
 	reserved := 0
